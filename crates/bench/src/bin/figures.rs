@@ -10,7 +10,8 @@
 //! workload sizes; the default quick sizes finish in minutes. `--json`
 //! additionally writes the raw experiment data as JSON. `--jobs N` sets
 //! the worker-thread count for the simulation sweeps (default: all host
-//! cores; the output is bit-identical for any N).
+//! cores; the output is bit-identical for any N). A missing or
+//! non-positive `--jobs` value exits with status 1.
 
 use bench::experiments as exp;
 use bench::sweep::workers_from_args;
@@ -63,7 +64,10 @@ fn main() {
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    let workers = workers_from_args(&args);
+    let workers = workers_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("figures: {e}");
+        std::process::exit(1);
+    });
     let mut json = JsonOut::default();
 
     println!(

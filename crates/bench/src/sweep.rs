@@ -14,20 +14,49 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Default worker count: the host's available parallelism (1 if
-/// unknown). Shared with the simulator's sharded-tick engine so every
-/// "how parallel is this host" answer in the workspace agrees.
+/// unknown).
 pub fn default_workers() -> usize {
-    sim_base::shard::available_workers()
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// A malformed `--jobs` flag.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JobsError {
+    /// `--jobs` was the last argument.
+    Missing,
+    /// The value is not a positive integer (`0` included).
+    Invalid(String),
+}
+
+impl std::fmt::Display for JobsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobsError::Missing => write!(f, "--jobs needs a value (a positive integer)"),
+            JobsError::Invalid(v) => {
+                write!(f, "--jobs needs a positive integer, got `{v}`")
+            }
+        }
+    }
+}
+
+impl std::error::Error for JobsError {}
+
 /// Parses a `--jobs N` flag out of `args`, defaulting to
-/// [`default_workers`]. `--jobs 1` forces the serial path.
-pub fn workers_from_args(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(default_workers)
+/// [`default_workers`] when the flag is absent. `--jobs 1` forces the
+/// serial path.
+///
+/// # Errors
+/// [`JobsError`] when the flag has no value or the value is not a
+/// positive integer.
+pub fn workers_from_args(args: &[String]) -> Result<usize, JobsError> {
+    let Some(i) = args.iter().position(|a| a == "--jobs") else {
+        return Ok(default_workers());
+    };
+    let v = args.get(i + 1).ok_or(JobsError::Missing)?;
+    match v.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(JobsError::Invalid(v.clone())),
+    }
 }
 
 /// Host-parallelism provenance for `BENCH_*.json` outputs: how many
@@ -39,7 +68,7 @@ pub fn host_json(workers_used: usize) -> sim_base::json::Json {
     sim_base::json::Json::obj([
         (
             "available_cores",
-            sim_base::json::Json::from(sim_base::shard::available_workers() as u64),
+            sim_base::json::Json::from(default_workers() as u64),
         ),
         (
             "workers_used",
@@ -63,9 +92,8 @@ where
     R: Send,
     F: Fn(&J) -> R + Sync,
 {
-    // One clamp rule for the whole workspace: at least one worker,
-    // never more than there are items to divide.
-    let workers = sim_base::shard::clamp_workers(workers, jobs.len());
+    // At least one worker, never more than there are jobs to divide.
+    let workers = workers.clamp(1, jobs.len().max(1));
     if workers == 1 {
         return jobs.iter().map(&run).collect();
     }
@@ -131,10 +159,36 @@ mod tests {
         assert_eq!(sweep(&jobs, 4, |&j| j), Vec::<u8>::new());
     }
 
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn workers_flag_parsing() {
-        let args: Vec<String> = ["--jobs", "3"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(workers_from_args(&args), 3);
-        assert_eq!(workers_from_args(&[]), default_workers());
+        assert_eq!(workers_from_args(&args(&["--jobs", "3"])), Ok(3));
+        assert_eq!(workers_from_args(&[]), Ok(default_workers()));
+        assert_eq!(
+            workers_from_args(&args(&["--all", "--full"])),
+            Ok(default_workers())
+        );
+    }
+
+    #[test]
+    fn malformed_jobs_flag_is_a_named_error() {
+        assert_eq!(
+            workers_from_args(&args(&["--all", "--jobs"])),
+            Err(JobsError::Missing)
+        );
+        for bad in ["x", "0", "-2", "1.5", ""] {
+            assert_eq!(
+                workers_from_args(&args(&["--jobs", bad])),
+                Err(JobsError::Invalid(bad.to_string())),
+                "--jobs {bad:?}"
+            );
+        }
+        assert_eq!(
+            JobsError::Invalid("x".into()).to_string(),
+            "--jobs needs a positive integer, got `x`"
+        );
     }
 }

@@ -271,32 +271,6 @@ impl BarrierHw for ClusteredBarrierNetwork {
         self.level2.skip_to(t);
         self.now = t;
     }
-
-    fn min_notify_latency(&self) -> u64 {
-        // 2 cycles in-cluster gather to the root, the 4-cycle level-2
-        // floor with its first cycle overlapping the root announcement,
-        // and 2 more for the gated release cascade (release-column +
-        // release-row): the module-level 7-cycle constant. No core can
-        // observe any effect of an arrival sooner.
-        7
-    }
-
-    fn release_bound(&self) -> u64 {
-        // Same shape as the flat network's bound: while a context still
-        // misses arrivals, even an immediate last arrival needs the full
-        // two-level propagation floor before any `bar_reg` can clear;
-        // once every core has arrived the cascade may be in flight.
-        (0..self.num_contexts)
-            .map(|ctx| {
-                if self.arrived[ctx] as usize >= self.mesh.num_tiles() {
-                    1
-                } else {
-                    BarrierHw::min_notify_latency(self)
-                }
-            })
-            .min()
-            .unwrap_or(1)
-    }
 }
 
 #[cfg(test)]
@@ -432,7 +406,6 @@ mod tests {
         let mesh = Mesh2D::new(9, 9);
         let mut net = ClusteredBarrierNetwork::new(mesh, cfg());
         assert_eq!(net.next_event(), None, "fresh network is quiescent");
-        assert_eq!(BarrierHw::release_bound(&net), 7);
         net.skip_to(1000);
         assert_eq!(net.now(), 1000);
 
@@ -450,35 +423,6 @@ mod tests {
         net.skip_to(5000);
         assert_eq!(net.run_single_barrier(&vec![0; 81]), 7);
         assert_eq!(net.stats(0).barriers_completed, 2);
-    }
-
-    #[test]
-    fn release_bound_collapses_once_all_arrived() {
-        let mesh = Mesh2D::new(9, 9);
-        let mut net = ClusteredBarrierNetwork::new(mesh, cfg());
-        for i in 0..80 {
-            net.write_bar_reg(CoreId(i), 0, 1);
-        }
-        for _ in 0..20 {
-            net.tick();
-        }
-        // One arrival missing: no clear can land within the 7-cycle floor.
-        assert_eq!(BarrierHw::release_bound(&net), 7);
-        assert!(
-            net.next_event().is_some() || !net.all_released(0),
-            "registers still held"
-        );
-        net.write_bar_reg(CoreId(80), 0, 1);
-        assert_eq!(
-            BarrierHw::release_bound(&net),
-            1,
-            "release may be in flight"
-        );
-        for _ in 0..7 {
-            assert!(net.next_event().is_some(), "episode in flight every cycle");
-            net.tick();
-        }
-        assert!(net.all_released(0));
     }
 
     #[test]

@@ -826,28 +826,20 @@ pub trait BarrierHw {
         }
     }
 
-    /// Minimum number of cycles between a `write_bar_reg` on quiescent
-    /// hardware and the earliest cycle at which *another* core can
-    /// observe any effect of it (a changed `bar_reg` read, or a
-    /// release). An epoch-batched simulator uses this as a safe
-    /// free-run bound while the hardware is quiescent: a window of at
-    /// most this many cycles cannot let one shard's arrival become
-    /// visible to another shard mid-window. The conservative default is
-    /// 1 (visible next cycle); implementations with a provable
-    /// propagation floor override it.
+    /// Minimum number of cycles between a `write_bar_reg` and the
+    /// earliest cycle at which another core can observe any effect of
+    /// it. The simulator does not read this; it stays, with only this
+    /// conservative default, because `BarrierHw` wrappers outside the
+    /// workspace (perfbench's recording wrapper) forward it and must
+    /// keep compiling.
     fn min_notify_latency(&self) -> u64 {
         1
     }
 
-    /// Lower bound on the number of cycles before *any* core's set
-    /// `bar_reg` can clear, as of now. An epoch-batched simulator uses
-    /// this to size its gather window: arrivals *within* the window are
-    /// fine (they only set registers), but a clear must not land
-    /// mid-window. While a context still misses arrivals, a release is
-    /// at least the hardware's propagation floor away even if the last
-    /// arrival happens immediately; once every member has arrived the
-    /// release wave may already be in flight, so the bound collapses to
-    /// 1. The conservative default is 1.
+    /// Lower bound on the number of cycles before any core's set
+    /// `bar_reg` can clear. Unused by the simulator and kept with only
+    /// this conservative default for the same reason as
+    /// [`min_notify_latency`](Self::min_notify_latency).
     fn release_bound(&self) -> u64 {
         1
     }
@@ -917,32 +909,6 @@ impl<S: TraceSink> BarrierHw for BarrierNetwork<S> {
     }
     fn skip_to(&mut self, t: Cycle) {
         BarrierNetwork::skip_to(self, t);
-    }
-    fn min_notify_latency(&self) -> u64 {
-        // An arrival on the flat network takes one cycle on the column
-        // G-line, one in the row controller, one on the row G-line and
-        // one in the global controller before the release can even
-        // begin to propagate back — the paper's 4-cycle barrier floor
-        // (`four_cycles_on_every_mesh_up_to_8x8`). No other core can
-        // observe a state change sooner.
-        4
-    }
-    fn release_bound(&self) -> u64 {
-        // Per context: once every member has arrived the release wave
-        // may complete on any cycle (1); before that, the wave cannot
-        // even start until the last arrival, and then needs the full
-        // 4-cycle propagation floor.
-        self.contexts
-            .iter()
-            .map(|c| {
-                if c.arrived >= c.num_members {
-                    1
-                } else {
-                    BarrierHw::min_notify_latency(self)
-                }
-            })
-            .min()
-            .unwrap_or(1)
     }
 }
 

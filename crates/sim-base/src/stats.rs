@@ -277,9 +277,8 @@ impl Histogram {
     /// Folds another histogram into this one, as if every sample of
     /// `other` had been [`record`](Self::record)ed here directly.
     ///
-    /// This is the shard-merge operation of the parallel engines: it is
-    /// associative and commutative (bucket counts, counts and saturating
-    /// sums add; min/max combine), so any reduction order over per-shard
+    /// Associative and commutative (bucket counts, counts and saturating
+    /// sums add; min/max combine), so any reduction order over partial
     /// histograms yields the identical merged histogram. Property-tested
     /// below.
     pub fn merge(&mut self, other: &Histogram) {
@@ -383,8 +382,8 @@ mod tests {
     }
 
     /// Draws a histogram of 0..=24 samples spanning empty, tiny and
-    /// huge (near-saturating) values — the shapes the shard merge has
-    /// to get right.
+    /// huge (near-saturating) values — the shapes a merge has to get
+    /// right.
     fn arbitrary_histogram(rng: &mut crate::rng::SplitMix64) -> Histogram {
         let mut h = Histogram::new();
         for _ in 0..rng.next_below(25) {

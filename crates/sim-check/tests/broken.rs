@@ -1,27 +1,164 @@
 //! Regression corpus for the checker itself: two deliberately seeded
-//! bugs — each a real-world bug class in the primitive it mirrors —
-//! that the explorer **must** detect. If a refactor of the scheduler,
-//! the sleep sets, or the modeled primitives ever stops finding these,
-//! this suite fails and the checker can no longer be trusted.
+//! synchronization bugs — each a real-world bug class — that the
+//! explorer **must** detect, each paired with its correct variant that
+//! the explorer must pass clean. If a refactor of the scheduler, the
+//! sleep sets, or the modeled primitives ever stops finding the bugs
+//! (or starts flagging the correct code), this suite fails and the
+//! checker can no longer be trusted.
 //!
-//! * `ModelSpinBarrier::new_broken_late_reset` — the arrival-count
-//!   reset moved after the waiter release. A participant that starts
-//!   the next episode before the late reset lands has its arrival
-//!   wiped; the barrier then waits forever. Surfaces as a deadlock.
-//! * `ModelEpochGate::new_broken_unlocked_ring` — the doorbell bump and
-//!   notify without the doorbell mutex. The notify can land between a
-//!   parking worker's sequence check and its wait: a textbook lost
-//!   wakeup. Also surfaces as a deadlock.
+//! * [`Barrier`] with `late_reset` — a sense-reversing centralized
+//!   barrier whose arrival-count reset is moved after the waiter
+//!   release. A participant that starts the next episode before the
+//!   late reset lands has its arrival wiped; the barrier then waits
+//!   forever. Surfaces as a deadlock.
+//! * [`Doorbell`] with `unlocked_ring` — a sequence-number doorbell
+//!   whose bump-and-notify skips the mutex the waiter re-checks under.
+//!   The notify can land between the waiter's check and its wait: a
+//!   textbook lost wakeup. Also surfaces as a deadlock.
 //!
-//! Both are checked twice: directly on the primitive (the minimal
-//! scenario that exposes them) and through the full phase-protocol
-//! mirrors, proving the protocol scenarios would catch a regression in
-//! the underlying primitive too.
+//! Both fixtures live here, written against the modeled primitives in
+//! [`sim_check::sync`]; they model no simulator code.
 
-use sim_check::models::{run_cycle_protocol, run_epoch_protocol, ModelEpochGate, ModelSpinBarrier};
-use sim_check::sync::spawn;
+use sim_check::sync::{spawn, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex};
 use sim_check::{Explorer, Report, ViolationKind};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+/// A sense-reversing centralized barrier that parks every waiter on a
+/// condvar (the minimal shape: every arrival is a scheduling point, and
+/// the park path is the only exit).
+struct Barrier {
+    n: usize,
+    count: AtomicUsize,
+    sense: AtomicBool,
+    lock: Mutex<()>,
+    cv: Condvar,
+    /// Seeded bug: reset the arrival count *after* releasing the
+    /// waiters instead of before.
+    late_reset: bool,
+}
+
+impl Barrier {
+    fn new(n: usize, late_reset: bool) -> Barrier {
+        Barrier {
+            n,
+            count: AtomicUsize::new(0, "barrier.count"),
+            sense: AtomicBool::new(false, "barrier.sense"),
+            lock: Mutex::new((), "barrier.lock"),
+            cv: Condvar::new("barrier.cv"),
+            late_reset,
+        }
+    }
+
+    fn wait(&self, local_sense: &mut bool) {
+        let sense = !*local_sense;
+        *local_sense = sense;
+        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            if !self.late_reset {
+                self.count.store(0, Ordering::Relaxed);
+            }
+            // Flip under the mutex so a waiter that checked the sense
+            // and decided to park cannot miss the wakeup.
+            {
+                let _g = self.lock.lock();
+                self.sense.store(sense, Ordering::Release);
+                self.cv.notify_all();
+            }
+            if self.late_reset {
+                // BUG (seeded): a released waiter may already have
+                // arrived for the next episode; this erases it.
+                self.count.store(0, Ordering::Relaxed);
+            }
+        } else {
+            let mut g = self.lock.lock();
+            while self.sense.load(Ordering::Acquire) != sense {
+                g = self.cv.wait(g);
+            }
+            drop(g);
+        }
+    }
+}
+
+/// A one-waiter doorbell: the ringer bumps a sequence number and
+/// notifies; the waiter parks until the sequence moves past what it
+/// last saw.
+struct Doorbell {
+    seq: AtomicU64,
+    lock: Mutex<()>,
+    cv: Condvar,
+    /// Seeded bug: bump and notify without taking the mutex.
+    unlocked_ring: bool,
+}
+
+impl Doorbell {
+    fn new(unlocked_ring: bool) -> Doorbell {
+        Doorbell {
+            seq: AtomicU64::new(0, "doorbell.seq"),
+            lock: Mutex::new((), "doorbell.lock"),
+            cv: Condvar::new("doorbell.cv"),
+            unlocked_ring,
+        }
+    }
+
+    fn ring(&self) {
+        if self.unlocked_ring {
+            // BUG (seeded): can slot between a parking waiter's check
+            // and its wait, so the notify finds nobody to wake.
+            self.seq.fetch_add(1, Ordering::Release);
+            self.cv.notify_one();
+        } else {
+            let _g = self.lock.lock();
+            self.seq.fetch_add(1, Ordering::Release);
+            self.cv.notify_one();
+        }
+    }
+
+    fn wait(&self, last_seen: &mut u64) {
+        let mut g = self.lock.lock();
+        while self.seq.load(Ordering::Acquire) == *last_seen {
+            g = self.cv.wait(g);
+        }
+        drop(g);
+        *last_seen = self.seq.load(Ordering::Acquire);
+    }
+}
+
+/// Two participants, two episodes: the deadlock needs a second episode
+/// — the wiped arrival only matters once somebody arrives again.
+fn barrier_scenario(late_reset: bool) -> Report {
+    Explorer::default().check(move || {
+        let barrier = Arc::new(Barrier::new(2, late_reset));
+        let b = barrier.clone();
+        let h = spawn("p1", move || {
+            let mut sense = false;
+            for _ in 0..2 {
+                b.wait(&mut sense);
+            }
+        });
+        let mut sense = false;
+        for _ in 0..2 {
+            barrier.wait(&mut sense);
+        }
+        h.join();
+    })
+}
+
+/// One ringer, one waiter, two rings: every ring must be observed.
+fn doorbell_scenario(unlocked_ring: bool) -> Report {
+    Explorer::default().check(move || {
+        let bell = Arc::new(Doorbell::new(unlocked_ring));
+        let b = bell.clone();
+        let h = spawn("waiter", move || {
+            let mut seen = 0;
+            while seen < 2 {
+                b.wait(&mut seen);
+            }
+        });
+        bell.ring();
+        bell.ring();
+        h.join();
+    })
+}
 
 /// The violation must exist, be a deadlock, and carry a non-empty
 /// schedule trace (the repro the checker hands to a human).
@@ -45,81 +182,24 @@ fn expect_deadlock(r: &Report, what: &str) {
 
 #[test]
 fn broken_barrier_late_reset_deadlocks() {
-    // Two participants, two episodes, nothing else: the minimal
-    // scenario. The deadlock needs a second episode — the wiped arrival
-    // only matters once somebody arrives again.
-    let r = Explorer::default().check(|| {
-        let barrier = Arc::new(ModelSpinBarrier::new_broken_late_reset(2, 0));
-        let b = barrier.clone();
-        let h = spawn("p1", move || {
-            let mut sense = false;
-            for _ in 0..2 {
-                b.wait(&mut sense);
-            }
-        });
-        let mut sense = false;
-        for _ in 0..2 {
-            barrier.wait(&mut sense);
-        }
-        h.join();
-    });
-    expect_deadlock(&r, "broken barrier (direct)");
-    eprintln!(
-        "broken barrier direct: caught after {} executions",
-        r.executions
-    );
+    expect_deadlock(&barrier_scenario(true), "late-reset barrier");
 }
 
 #[test]
-fn broken_barrier_detected_through_cycle_protocol() {
-    // The same bug injected under the full compute/exchange phase
-    // protocol: one cycle already crosses the barrier three times
-    // (release, join, stop-release), which is enough episodes to
-    // trigger the wipe.
-    let r = Explorer::default().check(|| run_cycle_protocol(2, 2, 1, 0, true));
-    expect_deadlock(&r, "broken barrier (cycle protocol)");
-    eprintln!(
-        "broken barrier via protocol: caught after {} executions",
-        r.executions
-    );
+fn correct_barrier_passes_clean() {
+    let r = barrier_scenario(false);
+    r.assert_ok();
+    assert!(r.executions > 1, "only {} executions", r.executions);
 }
 
 #[test]
-fn broken_gate_unlocked_ring_loses_wakeup() {
-    // Coordinator + one worker, one epoch, spin budget 0 (the worker
-    // always parks — the lost notify has maximal opportunity).
-    let r = Explorer::default().check(|| {
-        let gate = Arc::new(ModelEpochGate::new_broken_unlocked_ring(2, 0));
-        let g = gate.clone();
-        let h = spawn("w1", move || {
-            let mut seen = 0u64;
-            loop {
-                if g.wait_for_ring(1, &mut seen) {
-                    return;
-                }
-                g.arrive();
-            }
-        });
-        gate.open_epoch(&[false, true]);
-        gate.join(1);
-        gate.close();
-        h.join();
-    });
-    expect_deadlock(&r, "broken gate (direct)");
-    eprintln!(
-        "broken gate direct: caught after {} executions",
-        r.executions
-    );
+fn broken_doorbell_unlocked_ring_loses_wakeup() {
+    expect_deadlock(&doorbell_scenario(true), "unlocked-ring doorbell");
 }
 
 #[test]
-fn broken_gate_detected_through_epoch_protocol() {
-    // The same bug under the full free-run/apply protocol: one rung
-    // worker, one epoch.
-    let r = Explorer::default().check(|| run_epoch_protocol(2, 2, &[vec![false, true]], 0, true));
-    expect_deadlock(&r, "broken gate (epoch protocol)");
-    eprintln!(
-        "broken gate via protocol: caught after {} executions",
-        r.executions
-    );
+fn correct_doorbell_passes_clean() {
+    let r = doorbell_scenario(false);
+    r.assert_ok();
+    assert!(r.executions > 1, "only {} executions", r.executions);
 }

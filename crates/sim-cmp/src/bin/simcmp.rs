@@ -34,17 +34,6 @@
 //!   --sched-stats      print scheduler diagnostics after the run:
 //!                      skip attempt/success/backoff counters and the
 //!                      mean active-set occupancy per subsystem
-//!   --workers N        advance the machine with N shard threads (the
-//!                      epoch-batched parallel engine; default from the
-//!                      SIMCMP_WORKERS environment variable, else 1 =
-//!                      serial). Reports are bit-identical for every
-//!                      worker count; traced runs always use the
-//!                      serial engine
-//!   --per-cycle-sync   use the legacy per-cycle rendezvous protocol
-//!                      (two barrier crossings per ticked cycle)
-//!                      instead of epoch batching; bit-identical, just
-//!                      slower on contended workloads (only meaningful
-//!                      with --workers > 1)
 //!   --trace FILE       record every event and write a Chrome
 //!                      trace_event JSON file (open in about://tracing
 //!                      or Perfetto)
@@ -147,8 +136,6 @@ struct Opts {
     no_skip: bool,
     no_active_set: bool,
     sched_stats: bool,
-    workers: usize,
-    per_cycle_sync: bool,
 }
 
 /// Runs the system to completion and prints the report. Monomorphized
@@ -157,31 +144,19 @@ struct Opts {
 fn run_system<B: BarrierHw, S: TraceSink>(mut sys: System<B, S>, opts: &Opts) {
     sys.set_skip_enabled(!opts.no_skip);
     sys.set_active_set_enabled(!opts.no_active_set);
-    if opts.per_cycle_sync {
-        sys.set_sync_protocol(sim_cmp::SyncProtocol::PerCycle);
-    }
     for &(a, v) in &opts.pokes {
         sys.poke_word(a, v);
     }
     let outcome = match opts.progress {
-        Some(every) => {
-            if opts.workers > 1 {
-                eprintln!(
-                    "simcmp: --progress uses the serial engine (--workers {} ignored)",
-                    opts.workers
-                );
-            }
-            sys.run_with_progress(opts.max_cycles, every, |rep| {
-                eprintln!(
-                    "[cycle {:>10}] {} instructions, {} NoC messages, {} GL barriers",
-                    rep.cycles,
-                    rep.instructions,
-                    rep.traffic.total(),
-                    rep.gl_barriers
-                );
-            })
-        }
-        None if opts.workers > 1 => sys.run_with_workers(opts.max_cycles, opts.workers),
+        Some(every) => sys.run_with_progress(opts.max_cycles, every, |rep| {
+            eprintln!(
+                "[cycle {:>10}] {} instructions, {} NoC messages, {} GL barriers",
+                rep.cycles,
+                rep.instructions,
+                rep.traffic.total(),
+                rep.gl_barriers
+            );
+        }),
         None => sys.run(opts.max_cycles),
     };
     finish(&sys, outcome, opts);
@@ -191,12 +166,6 @@ fn run_system<B: BarrierHw, S: TraceSink>(mut sys: System<B, S>, opts: &Opts) {
 /// issue groups, prints the usual report, and writes the trace set into
 /// `dir`.
 fn record_system<B: BarrierHw>(mut sys: System<B>, opts: &Opts, dir: &str, workload: String) {
-    if opts.workers > 1 {
-        eprintln!(
-            "simcmp: --record-trace uses the dense serial engine (--workers {} ignored)",
-            opts.workers
-        );
-    }
     if opts.progress.is_some() {
         eprintln!("simcmp: --record-trace ignores --progress");
     }
@@ -271,18 +240,6 @@ fn finish<B: BarrierHw, S: TraceSink>(
                     "core parking: {} stall steps, {} spin steps elided",
                     core.parked_steps, core.spin_parked_steps
                 );
-                let sync = sys.sync_stats();
-                if sync.par_cycles > 0 {
-                    eprintln!(
-                        "sync: {} epochs (mean {:.1} cycles), {:.2} crossings/kcycle, \
-                         {} shard-epochs skipped, {} wakeups",
-                        sync.epochs,
-                        sync.mean_epoch_len(),
-                        sync.crossings_per_kilocycle(),
-                        sync.shard_epochs_skipped,
-                        sync.wakeups
-                    );
-                }
             }
             for &a in &opts.peeks {
                 println!("[0x{a:x}] = {}", sys.peek_word(a));
@@ -301,8 +258,7 @@ fn main() {
         eprintln!("usage: simcmp PROGRAM.s [PROGRAM2.s …] [--cores N] [--mesh RxC]");
         eprintln!("              [--gl-transmitters N] [--max-cycles N]");
         eprintln!("              [--poke ADDR=VAL]… [--peek ADDR]… [--json] [--breakdown]");
-        eprintln!("              [--no-skip] [--no-active-set] [--sched-stats] [--workers N]");
-        eprintln!("              [--per-cycle-sync]");
+        eprintln!("              [--no-skip] [--no-active-set] [--sched-stats]");
         eprintln!("              [--trace FILE] [--trace-last N]");
         eprintln!("              [--record-trace DIR | --replay DIR]");
         std::process::exit(if args.is_empty() { 1 } else { 0 });
@@ -320,13 +276,6 @@ fn main() {
     let mut no_skip = false;
     let mut no_active_set = false;
     let mut sched_stats = false;
-    let mut per_cycle_sync = false;
-    // The env default lets CI run the whole suite under the parallel
-    // engine without touching every invocation.
-    let mut workers = std::env::var("SIMCMP_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1usize);
     let mut mesh: Option<(u16, u16)> = None;
     let mut gl_transmitters: Option<u32> = None;
     let mut trace_file: Option<String> = None;
@@ -384,14 +333,6 @@ fn main() {
             "--no-skip" => no_skip = true,
             "--no-active-set" => no_active_set = true,
             "--sched-stats" => sched_stats = true,
-            "--per-cycle-sync" => per_cycle_sync = true,
-            "--workers" => {
-                workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&w| w >= 1)
-                    .unwrap_or_else(|| die("--workers needs a thread count >= 1"));
-            }
             "--progress" => {
                 progress = Some(
                     it.next()
@@ -462,8 +403,6 @@ fn main() {
             no_skip,
             no_active_set,
             sched_stats,
-            workers,
-            per_cycle_sync,
         };
         if cfg.needs_clustered_gline() {
             if trace_file.is_some() || trace_last.is_some() {
@@ -535,8 +474,6 @@ fn main() {
         no_skip,
         no_active_set,
         sched_stats,
-        workers,
-        per_cycle_sync,
     };
 
     if cfg.needs_clustered_gline() {

@@ -195,11 +195,6 @@ impl Core {
         self.region
     }
 
-    /// Replay cursor position (epoch halt-bound computation).
-    pub(crate) fn rp_op(&self) -> usize {
-        self.rp_op
-    }
-
     /// End of the current `busy` block, if the core is inside one.
     pub(crate) fn busy_until(&self) -> Option<Cycle> {
         match self.status {
@@ -263,10 +258,9 @@ impl Core {
         }
     }
 
-    /// Runs one cycle. Interacts with the memory hierarchy (the whole
-    /// [`sim_mem::MemorySystem`] serially, or a [`sim_mem::LaneMem`]
-    /// shard view in the parallel engine — anything implementing
-    /// [`CoreMem`]) and the G-line barrier hardware (flat, clustered or
+    /// Runs one cycle. Interacts with the memory hierarchy (the
+    /// [`sim_mem::MemorySystem`], or the trace recorder's wrapper around
+    /// it — anything implementing [`CoreMem`]) and the G-line barrier hardware (flat, clustered or
     /// TDM — anything implementing [`BarrierHw`]); must be called
     /// before their `tick`s.
     pub fn step<B: BarrierHw + ?Sized, M: CoreMem, S: TraceSink>(
@@ -1150,7 +1144,7 @@ impl Core {
     /// O(1), leaving the core (and its L1, via `mem`) in exactly the
     /// state `k` normal `step`s would have produced.
     /// Callers guarantee the run is untraced (traced runs disable both
-    /// cycle skipping and the parallel path, the only routes here).
+    /// cycle skipping and spin parking, the only routes here).
     pub fn ff_replay<M: CoreMem>(
         &mut self,
         plan: SpinPlan,

@@ -15,12 +15,12 @@
 //! * [`system`] — the machine itself: construct with programs, `run()`,
 //!   inspect the [`report`](system::System::report).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod core;
 pub mod energy;
-mod par;
 pub mod replay;
 pub mod runtime;
 pub mod stats;
@@ -31,4 +31,4 @@ pub use energy::{EnergyEstimate, EnergyModel};
 pub use replay::CoreProg;
 pub use runtime::BarrierKind;
 pub use stats::SystemReport;
-pub use system::{CoreSchedStats, SkipStats, SyncProtocol, SyncStats, System};
+pub use system::{CoreSchedStats, SkipStats, System};

@@ -1,7 +1,6 @@
 //! The assembled machine.
 
 use crate::core::{Core, FfClass, SpinPlan};
-use crate::par;
 use crate::replay::{CoreProg, Pre, RecGline, RecMem, Recorder};
 use crate::stats::SystemReport;
 use gline_core::{BarrierHw, BarrierNetwork};
@@ -68,44 +67,6 @@ pub struct System<B: BarrierHw = BarrierNetwork, S: TraceSink = NullSink> {
     ff_resume_at: Cycle,
     /// Core-scheduler occupancy counters (diagnostics only).
     sched: CoreSchedStats,
-    /// Which rendezvous protocol the parallel engine uses (see
-    /// [`Self::set_sync_protocol`]).
-    sync_protocol: SyncProtocol,
-    /// Parallel-engine synchronization counters (diagnostics only).
-    sync: SyncStats,
-    /// True when any program can touch the barrier network. When false
-    /// (software barriers), the epoch window never needs the G-line
-    /// visibility clamp.
-    uses_gline: bool,
-    /// Per-core halt-distance tables: a lower bound, from each pc, on
-    /// the dynamic instructions left before `halt` retires. Bounds the
-    /// epoch window so the machine never free-runs past the last halt
-    /// (the serial engines stop the clock there).
-    halt_bounds: Vec<HaltBound>,
-}
-
-/// The epoch driver's reusable coordinator-side buffers (tile/shard
-/// activity flags and the merged barrier-write latch).
-#[derive(Debug, Default)]
-struct EpochScratch {
-    active: Vec<bool>,
-    shard_active: Vec<bool>,
-    latch: Vec<(Cycle, CoreId, gline_core::CtxId, u64)>,
-}
-
-/// Per-core halt-distance data (see [`System`]'s `halt_bounds` field).
-#[derive(Clone, Debug)]
-enum HaltBound {
-    /// Execution mode: minimum dynamic instructions to reach *and
-    /// retire* `halt` from each pc (`u32::MAX` = halt unreachable, the
-    /// core can run forever). `Jalr` poisons the whole table to 1 (its
-    /// target is data-dependent).
-    Exec(Vec<u32>),
-    /// Replay mode: each remaining trace op takes at least one cycle.
-    Replay {
-        /// Total op count of the core's trace.
-        ops: usize,
-    },
 }
 
 /// Cap on the fast-forward failure backoff. In coherence-bound phases
@@ -164,9 +125,10 @@ impl CoreSchedStats {
     }
 }
 
-// Shard merges for the parallel engine: every field is an independent
-// event count, so the merge is fieldwise addition — associative,
-// commutative, with `default()` as identity (property-tested below).
+// Merges across runs (e.g. a benchmark summing a job's scheduler
+// counters): every field is an independent event count, so the merge is
+// fieldwise addition — associative, commutative, with `default()` as
+// identity (property-tested below).
 impl std::ops::AddAssign for CoreSchedStats {
     fn add_assign(&mut self, o: CoreSchedStats) {
         self.ticks += o.ticks;
@@ -184,63 +146,6 @@ impl std::ops::AddAssign for SkipStats {
         self.fail_blocked += o.fail_blocked;
         self.fail_near += o.fail_near;
         self.backed_off += o.backed_off;
-    }
-}
-
-/// Which rendezvous protocol [`System::run_with_workers`] uses
-/// (`DESIGN.md` §11 and §13). Both are bit-identical to the serial
-/// engine; they differ only in wall-clock cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SyncProtocol {
-    /// Epoch-batched free-runs: one rendezvous per multi-cycle window,
-    /// idle shards skip the window entirely (the default).
-    #[default]
-    Epoch,
-    /// The original sharded tick: two barrier crossings per cycle.
-    PerCycle,
-}
-
-/// Parallel-engine synchronization counters (diagnostics only; not part
-/// of [`SystemReport`](crate::SystemReport), so serial and parallel
-/// reports stay bit-identical). All fields except `wakeups` are
-/// deterministic for a given machine, worker count and protocol.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SyncStats {
-    /// Epochs executed (epoch protocol only).
-    pub epochs: u64,
-    /// Cycles advanced inside parallel-engine ticks or epochs (skipped
-    /// cycles and serial fallbacks excluded) — the denominator for
-    /// crossings-per-kilocycle.
-    pub par_cycles: u64,
-    /// Barrier / gate crossings: full rendezvous that every live
-    /// participant had to reach.
-    pub crossings: u64,
-    /// Times a participant gave up spinning and parked on the OS
-    /// (timing-dependent; zero on an unloaded host with short waits).
-    pub wakeups: u64,
-    /// Shard-epochs skipped because every tile in the shard was idle
-    /// (the shard's worker was never woken for that window).
-    pub shard_epochs_skipped: u64,
-}
-
-impl SyncStats {
-    /// Mean epoch window length in cycles (0 when no epochs ran).
-    pub fn mean_epoch_len(&self) -> f64 {
-        if self.epochs == 0 {
-            0.0
-        } else {
-            self.par_cycles as f64 / self.epochs as f64
-        }
-    }
-
-    /// Barrier crossings per thousand simulated cycles advanced by the
-    /// parallel engine (0 when it never ran).
-    pub fn crossings_per_kilocycle(&self) -> f64 {
-        if self.par_cycles == 0 {
-            0.0
-        } else {
-            self.crossings as f64 * 1000.0 / self.par_cycles as f64
-        }
     }
 }
 
@@ -325,8 +230,6 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
                 core.prime_replay(t);
             }
         }
-        let uses_gline = progs.iter().any(prog_uses_gline);
-        let halt_bounds = progs.iter().map(halt_bound_table).collect();
         System {
             cfg,
             cores,
@@ -345,69 +248,8 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             ff_backoff: 0,
             ff_resume_at: 0,
             sched: CoreSchedStats::default(),
-            sync_protocol: SyncProtocol::default(),
-            sync: SyncStats::default(),
-            uses_gline,
-            halt_bounds,
         }
     }
-}
-
-/// True when the program can touch the barrier network (epoch window
-/// G-line clamp gate; see [`System`]'s `uses_gline`).
-fn prog_uses_gline(prog: &CoreProg) -> bool {
-    match prog {
-        CoreProg::Exec(p) => p
-            .insts()
-            .iter()
-            .any(|i| matches!(i, sim_isa::Inst::BarWrite { .. })),
-        CoreProg::Replay(t) => t.ops.iter().any(|op| match op {
-            sim_trace::TraceOp::GlineSpin { .. } => true,
-            sim_trace::TraceOp::Step(s) => !s.bar_writes.is_empty(),
-            sim_trace::TraceOp::MemSpin { .. } => false,
-        }),
-    }
-}
-
-/// Builds one core's [`HaltBound`] table. For execution mode this is a
-/// shortest-path fixpoint over the static CFG: `dist[pc]` is the least
-/// number of dynamic instructions that must retire, starting at `pc`,
-/// before `halt` does (counting the halt itself). Running off the end
-/// of the program halts too, so out-of-range successors count zero.
-fn halt_bound_table(prog: &CoreProg) -> HaltBound {
-    use sim_isa::Inst;
-    let p = match prog {
-        CoreProg::Replay(t) => return HaltBound::Replay { ops: t.ops.len() },
-        CoreProg::Exec(p) => p,
-    };
-    let insts = p.insts();
-    if insts.iter().any(|i| matches!(i, Inst::Jalr { .. })) {
-        // An indirect jump's target is data-dependent: no static bound
-        // beyond "at least one more instruction".
-        return HaltBound::Exec(vec![1; insts.len()]);
-    }
-    let mut dist = vec![u32::MAX; insts.len()];
-    // Bellman-Ford style relaxation; the graph is tiny (micro-kernels).
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for (pc, inst) in insts.iter().enumerate().rev() {
-            let succ = |t: usize| -> u32 { dist.get(t).copied().unwrap_or(0) };
-            let best = match *inst {
-                Inst::Halt => 0,
-                Inst::Jal { target, .. } => succ(target),
-                Inst::Branch { target, .. } => succ(pc + 1).min(succ(target)),
-                Inst::Jalr { .. } => unreachable!("poisoned above"),
-                _ => succ(pc + 1),
-            };
-            let d = best.saturating_add(1);
-            if d < dist[pc] {
-                dist[pc] = d;
-                changed = true;
-            }
-        }
-    }
-    HaltBound::Exec(dist)
 }
 
 impl System {
@@ -717,25 +559,6 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         self.mem.noc_sched_stats()
     }
 
-    /// Selects the parallel engine's rendezvous protocol (epoch-batched
-    /// by default). Machine results are bit-identical under either
-    /// protocol, any worker count, and any mid-run switch — only
-    /// wall-clock and the [`sync_stats`](Self::sync_stats) counters
-    /// differ (`--per-cycle-sync` in the CLI).
-    pub fn set_sync_protocol(&mut self, p: SyncProtocol) {
-        self.sync_protocol = p;
-    }
-
-    /// The parallel engine's rendezvous protocol.
-    pub fn sync_protocol(&self) -> SyncProtocol {
-        self.sync_protocol
-    }
-
-    /// Parallel-engine synchronization counters for this run so far.
-    pub fn sync_stats(&self) -> SyncStats {
-        self.sync
-    }
-
     /// Advances one cycle — or, if skipping is permitted and the whole
     /// machine is quiescent, jumps to the next event (clamped to
     /// `horizon`, which callers use for deadline and progress-boundary
@@ -970,505 +793,6 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             }
         }
         Ok((self.now, rec.finish()))
-    }
-
-    /// Like [`run`](Self::run), but advances each cycle with `workers`
-    /// shard threads — the sharded-tick parallel engine (`DESIGN.md`
-    /// §11). Results are **bit-identical** to [`run`](Self::run): same
-    /// [`SystemReport`], same architectural memory, same scheduler and
-    /// skip statistics (`tests/parallel_determinism.rs`).
-    ///
-    /// `workers` is clamped to `1..=num_cores`; a clamped value of 1 —
-    /// or a traced system, whose event stream is defined by the serial
-    /// interleaving — falls back to the serial engine.
-    ///
-    /// # Errors
-    /// Same deadlock guard as [`run`](Self::run).
-    pub fn run_with_workers(&mut self, max_cycles: u64, workers: usize) -> Result<Cycle, String> {
-        let start = self.now;
-        self.advance_until_with_workers(start + max_cycles + 1, workers);
-        if self.now - start > max_cycles {
-            let stuck: Vec<String> = self
-                .cores
-                .iter()
-                .filter(|c| !c.halted())
-                .map(|c| format!("{:?}", c.id()))
-                .collect();
-            Err(format!(
-                "system did not halt within {max_cycles} cycles; still running: {}",
-                stuck.join(", ")
-            ))
-        } else {
-            Ok(self.now - start)
-        }
-    }
-
-    /// Advances the machine with `workers` shard threads until every
-    /// core halts or the clock reaches `until` (whichever comes first;
-    /// skips clamp to `until` exactly like [`run`](Self::run)'s
-    /// deadline horizon). The worker pool lives only for this call, so
-    /// the worker count — and the [`SyncProtocol`] — may differ from
-    /// one call to the next: the machine state cannot tell the
-    /// difference.
-    pub fn advance_until_with_workers(&mut self, until: Cycle, workers: usize) {
-        let n = self.cores.len();
-        let w = sim_base::shard::clamp_workers(workers, n);
-        if S::ENABLED || w <= 1 {
-            while !self.all_halted() && self.now < until {
-                self.advance(until);
-            }
-            return;
-        }
-        match self.sync_protocol {
-            SyncProtocol::Epoch => self.advance_until_epoch(until, w),
-            SyncProtocol::PerCycle => self.advance_until_per_cycle(until, w),
-        }
-    }
-
-    /// The per-cycle protocol's scope: one pool of workers, two barrier
-    /// crossings per ticked cycle.
-    fn advance_until_per_cycle(&mut self, until: Cycle, w: usize) {
-        let n = self.cores.len();
-        let shards = sim_base::shard::shard_ranges(n, w);
-        let mut flags: Vec<bool> = Vec::with_capacity(n);
-        self.mem.delivery_flags(&mut flags);
-        let init = self.cycle_ptrs(&flags);
-        let ctx = par::CycleCtx::new(shards, init);
-        let mut sense = false;
-        std::thread::scope(|scope| {
-            for wk in 1..w {
-                let ctx = &ctx;
-                scope.spawn(move || par::worker_loop(ctx, wk));
-            }
-            while !self.all_halted() && self.now < until {
-                self.advance_parallel(&ctx, &mut sense, &mut flags, until);
-            }
-            ctx.stop.store(true, std::sync::atomic::Ordering::Release);
-            // Wake the workers one last time so they observe the stop
-            // flag (the release-barrier wait is the wake edge).
-            ctx.barrier.wait(&mut sense);
-        });
-        self.sync.crossings += ctx.barrier.counters().crossings;
-        self.sync.wakeups += ctx.barrier.counters().wakeups;
-    }
-
-    /// The epoch protocol's scope (`DESIGN.md` §13): one pool of
-    /// workers parked on per-shard doorbells, one gate crossing per
-    /// multi-cycle epoch, idle shards never woken.
-    fn advance_until_epoch(&mut self, until: Cycle, w: usize) {
-        let n = self.cores.len();
-        let shards = sim_base::shard::shard_ranges(n, w);
-        let mut scratch = EpochScratch::default();
-        // Throwaway snapshot — workers never read `ptrs` before the
-        // first `run_epoch` refresh.
-        let init = self.epoch_ptrs(std::ptr::null(), self.now, 0);
-        let ctx = par::EpochCtx::new(shards, init);
-        std::thread::scope(|scope| {
-            for wk in 1..w {
-                let ctx = &ctx;
-                scope.spawn(move || par::epoch_worker_loop(ctx, wk));
-            }
-            while !self.all_halted() && self.now < until {
-                self.advance_epoch(&ctx, &mut scratch, until);
-            }
-            ctx.gate.close();
-        });
-        self.sync.crossings += ctx.gate.counters().crossings;
-        self.sync.wakeups += ctx.gate.counters().wakeups;
-    }
-
-    /// [`advance`](Self::advance) with the dense tick replaced by an
-    /// epoch free-run. The skip machinery is shared verbatim; what the
-    /// serial engine does cycle by cycle, this driver does one epoch at
-    /// a time, reproducing the skip statistics exactly:
-    ///
-    /// * the serial loop never counts `backed_off` on a cycle it ticks
-    ///   because the horizon is within one cycle, so a backed-off epoch
-    ///   that ends exactly at the horizon counts one cycle fewer;
-    /// * a failed fast-forward is followed by a single dense cycle (a
-    ///   width-1 epoch), never counted as backed off.
-    fn advance_epoch(
-        &mut self,
-        ectx: &par::EpochCtx<B, S>,
-        scratch: &mut EpochScratch,
-        horizon: Cycle,
-    ) {
-        if !self.skip_enabled || horizon <= self.now + 1 {
-            self.run_epoch(ectx, scratch, horizon);
-            return;
-        }
-        if self.now < self.ff_resume_at {
-            let limit = horizon.min(self.ff_resume_at);
-            let w = self.run_epoch(ectx, scratch, limit);
-            self.skip_stats.backed_off += if self.now == horizon { w - 1 } else { w };
-            return;
-        }
-        if self.try_fast_forward(horizon) {
-            self.ff_backoff = 0;
-        } else {
-            self.ff_backoff = (self.ff_backoff * 2).clamp(1, MAX_FF_BACKOFF);
-            self.ff_resume_at = self.now + self.ff_backoff;
-            self.run_epoch(ectx, scratch, self.now + 1);
-        }
-    }
-
-    /// Runs one epoch: pre-drains matured NoC deliveries into the tile
-    /// inboxes, sizes the free-run window (see
-    /// [`epoch_window`](Self::epoch_window)), classifies tiles and
-    /// shards, free-runs the active shards in parallel (this thread
-    /// doubles as worker 0 and also settles the skipped shards'
-    /// closed-form park accounting), then serializes the apply phase —
-    /// latched barrier writes in `(cycle, core)` order, outbox
-    /// injections in the serial global send order, one `mem`/`gline`
-    /// tick per window cycle. Returns the window length.
-    fn run_epoch(
-        &mut self,
-        ectx: &par::EpochCtx<B, S>,
-        scratch: &mut EpochScratch,
-        limit: Cycle,
-    ) -> u64 {
-        let s = self.now;
-        debug_assert!(limit > s, "empty epoch");
-        self.mem.epoch_predrain();
-        let w = self.epoch_window(limit);
-        let end = s + w;
-        scratch.active.clear();
-        for i in 0..self.cores.len() {
-            scratch.active.push(!self.epoch_tile_idle(i, end));
-        }
-        scratch.shard_active.clear();
-        for &(lo, hi) in &ectx.shards {
-            scratch
-                .shard_active
-                .push(scratch.active[lo..hi].iter().any(|&a| a));
-        }
-        let rung = scratch.shard_active[1..].iter().filter(|&&a| a).count();
-        // SAFETY: every worker is parked (no epoch is open), so the
-        // snapshot write is exclusive; the raw pointers are re-derived
-        // here and die at the gate join below.
-        unsafe {
-            *ectx.ptrs.get() = self.epoch_ptrs(scratch.active.as_ptr(), s, w);
-        }
-        ectx.gate.open_epoch(&scratch.shard_active);
-        for (k, &(lo, hi)) in ectx.shards.iter().enumerate() {
-            if k == 0 || !scratch.shard_active[k] {
-                // SAFETY: shard 0 is this thread's; a skipped shard's
-                // worker was never rung, so its range and out slot are
-                // also exclusively ours. Between open and join, `self`
-                // is only touched through the snapshot.
-                unsafe {
-                    par::epoch_shard_phase(&*ectx.ptrs.get(), lo, hi, &mut *ectx.outs[k].get());
-                }
-            }
-        }
-        ectx.gate.join(rung);
-        scratch.latch.clear();
-        let mut home_visits = 0;
-        let mut delivery_visits = 0;
-        for out in &ectx.outs {
-            // SAFETY: every rung worker has arrived; the outs are ours.
-            let out = unsafe { &mut *out.get() };
-            scratch.latch.append(&mut out.latch);
-            self.sched += out.sched;
-            out.sched = CoreSchedStats::default();
-            home_visits += std::mem::take(&mut out.home_visits);
-            delivery_visits += std::mem::take(&mut out.delivery_visits);
-        }
-        // Ascending-shard append order is ascending-tile order, so a
-        // stable sort by cycle alone yields the serial core loop's
-        // `(cycle, core)` replay order.
-        scratch.latch.sort_by_key(|&(c, _, _, _)| c);
-        self.mem.epoch_collect_injections();
-        let mut cursor = 0;
-        for c in s..end {
-            while scratch
-                .latch
-                .get(cursor)
-                .is_some_and(|&(wc, _, _, _)| wc == c)
-            {
-                let (_, core, bctx, v) = scratch.latch[cursor];
-                self.gline.write_bar_reg(core, bctx, v);
-                cursor += 1;
-            }
-            self.mem.epoch_apply_tick(c + 1 == end);
-            self.gline.tick();
-        }
-        debug_assert_eq!(cursor, scratch.latch.len(), "latched write outside window");
-        self.mem.epoch_sync_homes(&scratch.active);
-        self.mem
-            .add_epoch_sched_visits(home_visits, delivery_visits);
-        self.sched.ticks += w;
-        self.now = end;
-        self.sync.epochs += 1;
-        self.sync.par_cycles += w;
-        self.sync.shard_epochs_skipped +=
-            scratch.shard_active.iter().filter(|&&a| !a).count() as u64;
-        w
-    }
-
-    /// Sizes the free-run window starting at `now`: the largest span in
-    /// which no cross-tile effect can land (`DESIGN.md` §13 gives the
-    /// full safety argument). Every clamp is an *exclusive* end bound:
-    ///
-    /// * `limit` — the caller's horizon (deadline, backoff boundary).
-    /// * G-line visibility: barrier state is shared by wire, but the
-    ///   only cross-core observable is a core's own `bar_reg` clearing
-    ///   (arrivals by others are invisible until the release). So the
-    ///   window only has to stop before the earliest possible *clear*,
-    ///   which [`BarrierHw::release_bound`] lower-bounds: the hardware's
-    ///   propagation floor while any member is still missing — even if
-    ///   the last arrival lands on the window's first cycle — collapsing
-    ///   to 1 once every member has arrived and the release wave may be
-    ///   in flight. Arrival writes inside the window are latched and
-    ///   applied in the serialized phase, so gather progress mid-window
-    ///   is safe. Software-barrier programs never touch the network
-    ///   (`uses_gline` is false) and skip the clamp.
-    /// * In-flight NoC deliveries: a message maturing at the end of
-    ///   cycle `m` is handled at `m + 1`, which must be the first cycle
-    ///   of some later epoch (its pre-drain picks it up).
-    /// * New sends: nothing sent at or after `e0` (the earliest cycle
-    ///   any tile can inject) can be *handled* before
-    ///   `e0 + min_remote_delivery_latency + 1`.
-    /// * Halt: the serial run loop stops the clock one cycle after the
-    ///   last halt retires; the window must not overrun the earliest
-    ///   cycle that could be.
-    fn epoch_window(&mut self, limit: Cycle) -> u64 {
-        let s = self.now;
-        let mut end = limit;
-        if self.uses_gline {
-            end = end.min(s + self.gline.release_bound().max(1));
-        }
-        if let Some(m) = self.mem.earliest_delivery_maturation() {
-            end = end.min(m + 1);
-        }
-        let e0 = self.earliest_send_cycle();
-        if e0 != Cycle::MAX {
-            end = end.min(e0.saturating_add(self.mem.min_remote_delivery_latency() + 1));
-        }
-        let t = self.all_halt_bound();
-        if t != Cycle::MAX {
-            end = end.min(t + 1);
-        }
-        debug_assert!(end > s, "window clamped to nothing");
-        end - s
-    }
-
-    /// The earliest cycle at which *any* tile could inject a message
-    /// into the NoC this epoch ([`Cycle::MAX`] = none can). A tile with
-    /// pending local work can send immediately; a live core likewise; a
-    /// stall-parked core not before its wake; a spin- or miss-parked
-    /// core on a workless tile cannot act at all until a delivery
-    /// reaches it — and the other window clamps guarantee none does.
-    fn earliest_send_cycle(&self) -> Cycle {
-        let s = self.now;
-        let mut e0 = Cycle::MAX;
-        for i in 0..self.cores.len() {
-            if self.mem.epoch_tile_has_work(i) {
-                return s;
-            }
-            let core = &self.cores[i];
-            if core.halted() {
-                continue;
-            }
-            if let Some((wake, _)) = self.parked[i] {
-                e0 = e0.min(wake.max(s));
-            } else if self.spin_parked[i].is_some() || self.miss_parked[i].is_some() {
-                continue;
-            } else {
-                return s;
-            }
-        }
-        e0
-    }
-
-    /// A lower bound on the cycle at which core `i`'s `halt` retires
-    /// ([`Cycle::MAX`] = provably cannot this epoch): the earliest
-    /// cycle the core can step again, plus its halt-distance table's
-    /// instruction count at the current pc, at full issue width.
-    fn core_halt_bound(&self, i: usize) -> Cycle {
-        let s = self.now;
-        let core = &self.cores[i];
-        let base = if let Some((wake, _)) = self.parked[i] {
-            wake.max(s)
-        } else if self.spin_parked[i].is_some() || self.miss_parked[i].is_some() {
-            if self.mem.epoch_tile_has_work(i) {
-                s
-            } else {
-                return Cycle::MAX;
-            }
-        } else {
-            s
-        };
-        match &self.halt_bounds[i] {
-            HaltBound::Exec(dist) => {
-                let d = dist.get(core.pc()).copied().unwrap_or(1);
-                if d == u32::MAX {
-                    return Cycle::MAX;
-                }
-                let iw = u64::from(self.cfg.core.issue_width).max(1);
-                base + u64::from(d).div_ceil(iw) - 1
-            }
-            HaltBound::Replay { ops } => {
-                let rem = ops.saturating_sub(core.rp_op()).max(1) as u64;
-                base + rem - 1
-            }
-        }
-    }
-
-    /// The earliest cycle by which every core could have halted
-    /// ([`Cycle::MAX`] = some core provably cannot this epoch). The
-    /// serial run loop ticks every cycle up to and including the actual
-    /// last halt, which this bounds from below.
-    fn all_halt_bound(&self) -> Cycle {
-        let mut t = self.now;
-        for i in 0..self.cores.len() {
-            if self.cores[i].halted() {
-                continue;
-            }
-            let b = self.core_halt_bound(i);
-            if b == Cycle::MAX {
-                return Cycle::MAX;
-            }
-            t = t.max(b);
-        }
-        t
-    }
-
-    /// True when tile `i` provably does nothing in `[now, end)`: no
-    /// pending tile work (inbox, busy home) and a core that cannot step
-    /// — halted, parked past the window, or parked on a delivery that
-    /// the window clamps guarantee cannot arrive. The dense scheduler
-    /// never parks, so there only a halted core idles its tile.
-    fn epoch_tile_idle(&self, i: usize, end: Cycle) -> bool {
-        if self.mem.epoch_tile_has_work(i) {
-            return false;
-        }
-        let core = &self.cores[i];
-        if core.halted() {
-            return true;
-        }
-        if !self.active_set_enabled {
-            return false;
-        }
-        if self.spin_parked[i].is_some() || self.miss_parked[i].is_some() {
-            return true;
-        }
-        matches!(self.parked[i], Some((wake, _)) if wake >= end)
-    }
-
-    /// The per-epoch pointer snapshot handed to the workers.
-    fn epoch_ptrs(
-        &mut self,
-        tile_active: *const bool,
-        start: Cycle,
-        window: u64,
-    ) -> par::EpochPtrs<B, S> {
-        par::EpochPtrs {
-            cores: self.cores.as_mut_ptr(),
-            progs: self.progs.as_ptr(),
-            parked: self.parked.as_mut_ptr(),
-            spin_parked: self.spin_parked.as_mut_ptr(),
-            miss_parked: self.miss_parked.as_mut_ptr(),
-            tiles: self.mem.epoch_tiles(),
-            tile_active,
-            gline: &self.gline,
-            tracer: &self.tracer,
-            start,
-            window,
-            active_set: self.active_set_enabled,
-        }
-    }
-
-    /// [`advance`](Self::advance) with the dense tick replaced by a
-    /// sharded parallel tick. The skip path is untouched: quiescence
-    /// probing and closed-form replay run on the coordinator while the
-    /// workers sit parked at the release barrier — parking *is* the
-    /// AND-reduction of the per-shard quiescence votes, because a
-    /// parked worker has published all its state to the coordinator.
-    fn advance_parallel(
-        &mut self,
-        ctx: &par::CycleCtx<B, S>,
-        sense: &mut bool,
-        flags: &mut Vec<bool>,
-        horizon: Cycle,
-    ) {
-        if S::ENABLED || !self.skip_enabled || horizon <= self.now + 1 {
-            self.tick_parallel(ctx, sense, flags);
-            return;
-        }
-        if self.now < self.ff_resume_at {
-            self.skip_stats.backed_off += 1;
-            self.tick_parallel(ctx, sense, flags);
-            return;
-        }
-        if self.try_fast_forward(horizon) {
-            self.ff_backoff = 0;
-        } else {
-            self.ff_backoff = (self.ff_backoff * 2).clamp(1, MAX_FF_BACKOFF);
-            self.ff_resume_at = self.now + self.ff_backoff;
-            self.tick_parallel(ctx, sense, flags);
-        }
-    }
-
-    /// One sharded-tick cycle: freeze the delivery flags, publish the
-    /// cycle's pointer snapshot, run the compute phase (this thread
-    /// doubles as worker 0), then serialize the exchange — latched
-    /// barrier arrivals in ascending core order, outbox flushes in
-    /// ascending tile order, shared component ticks — exactly the
-    /// serial [`tick`](Self::tick)'s effect order.
-    fn tick_parallel(
-        &mut self,
-        ctx: &par::CycleCtx<B, S>,
-        sense: &mut bool,
-        flags: &mut Vec<bool>,
-    ) {
-        self.sched.ticks += 1;
-        self.mem.delivery_flags(flags);
-        // SAFETY: every worker is parked at the release barrier, so the
-        // snapshot write is exclusive; the raw pointers are re-derived
-        // here and die at the join barrier below.
-        unsafe {
-            *ctx.ptrs.get() = self.cycle_ptrs(flags);
-        }
-        ctx.barrier.wait(sense); // release: compute phase begins
-        let (lo, hi) = ctx.shards[0];
-        // SAFETY: shard 0 is this thread's; between the barriers `self`
-        // is only touched through the snapshot, like any other worker.
-        unsafe {
-            par::shard_phase(&*ctx.ptrs.get(), lo, hi, &mut *ctx.outs[0].get());
-        }
-        ctx.barrier.wait(sense); // join: all shard effects are visible
-        for out in &ctx.outs {
-            // SAFETY: workers are parked again; the outs are ours.
-            let out = unsafe { &mut *out.get() };
-            for (_, core, bctx, v) in out.latch.drain(..) {
-                self.gline.write_bar_reg(core, bctx, v);
-            }
-            self.sched += out.sched;
-            out.sched = CoreSchedStats::default();
-        }
-        self.mem.flush_shard_outboxes();
-        self.mem.tick();
-        self.gline.tick();
-        self.now += 1;
-        self.sync.par_cycles += 1;
-    }
-
-    /// The per-cycle pointer snapshot handed to the workers.
-    fn cycle_ptrs(&mut self, flags: &[bool]) -> par::Ptrs<B, S> {
-        par::Ptrs {
-            cores: self.cores.as_mut_ptr(),
-            progs: self.progs.as_ptr(),
-            parked: self.parked.as_mut_ptr(),
-            spin_parked: self.spin_parked.as_mut_ptr(),
-            miss_parked: self.miss_parked.as_mut_ptr(),
-            lanes: self.mem.tile_lanes(),
-            flags: flags.as_ptr(),
-            gline: &self.gline,
-            tracer: &self.tracer,
-            now: self.now,
-            active_set: self.active_set_enabled,
-        }
     }
 
     /// Gathers the run's statistics.
@@ -1907,59 +1231,9 @@ halt",
     }
 
     #[test]
-    fn parallel_deadlock_guard_matches_serial() {
-        let prog = assemble("l: ld r1, 0(r0)\nbeq r0, r0, l").unwrap();
-        let mut serial = System::homogeneous(cfg(4), prog.clone());
-        let mut par = System::homogeneous(cfg(4), prog);
-        let want = serial.run(10_000).unwrap_err();
-        let got = par.run_with_workers(10_000, 2).unwrap_err();
-        assert_eq!(want, got);
-        assert_eq!(serial.now(), par.now());
-    }
-
-    #[test]
-    fn parallel_run_is_bit_identical_to_serial() {
-        // A quick in-crate smoke; the exhaustive sweep lives in
-        // tests/parallel_determinism.rs.
-        let build = || {
-            let n = 8;
-            let env = BarrierEnv::new(BarrierKind::Csw, n, 4096);
-            let progs: Vec<Program> = (0..n)
-                .map(|c| {
-                    let mut b = ProgBuilder::new();
-                    for it in 0..3 {
-                        b.li(Reg(1), (0x4000 + c * 64) as i64)
-                            .li(Reg(2), it as i64)
-                            .st(Reg(2), 0, Reg(1));
-                        env.emit(&mut b, c, &format!("i{it}"));
-                    }
-                    b.halt();
-                    b.build()
-                })
-                .collect();
-            System::new(cfg(n), progs)
-        };
-        let mut serial = build();
-        let t0 = serial.run(10_000_000).unwrap();
-        for workers in [2, 3, 8] {
-            let mut par = build();
-            let t = par.run_with_workers(10_000_000, workers).unwrap();
-            assert_eq!(t0, t, "{workers} workers: cycle count diverged");
-            assert_eq!(serial.report(), par.report(), "{workers} workers");
-            assert_eq!(serial.skip_stats(), par.skip_stats(), "{workers} workers");
-            assert_eq!(
-                serial.core_sched_stats(),
-                par.core_sched_stats(),
-                "{workers} workers"
-            );
-        }
-    }
-
-    #[test]
     fn record_then_replay_is_bit_identical() {
         // In-crate smoke across all three barrier kinds; the exhaustive
-        // workload × toggle × worker sweep lives in
-        // tests/replay_lockstep.rs.
+        // workload × toggle sweep lives in tests/replay_lockstep.rs.
         for kind in BarrierKind::ALL {
             let n = 8;
             let build = || {

@@ -24,27 +24,24 @@ fn tmp(name: &str) -> std::path::PathBuf {
     p
 }
 
-fn run(args: &[&str], env_workers: Option<&str>) -> (String, String) {
-    let prog = tmp("prog.s");
+fn simcmp(name: &str, args: &[&str]) -> std::process::Output {
+    let prog = tmp(name);
     std::fs::write(&prog, PROGRAM).unwrap();
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_simcmp"));
-    cmd.arg(&prog).args(args);
-    match env_workers {
-        Some(w) => cmd.env("SIMCMP_WORKERS", w),
-        None => cmd.env_remove("SIMCMP_WORKERS"),
-    };
-    let out = cmd.output().expect("simcmp runs");
+    let out = Command::new(env!("CARGO_BIN_EXE_simcmp"))
+        .arg(&prog)
+        .args(args)
+        .output()
+        .expect("simcmp runs");
     let _ = std::fs::remove_file(&prog);
-    assert!(out.status.success(), "simcmp exited with {}", out.status);
-    (
-        String::from_utf8(out.stdout).expect("stdout is UTF-8"),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+    out
 }
 
 #[test]
 fn json_with_sched_stats_keeps_stdout_pure() {
-    let (stdout, stderr) = run(&["--cores", "4", "--json", "--sched-stats"], None);
+    let out = simcmp("pure.s", &["--cores", "4", "--json", "--sched-stats"]);
+    assert!(out.status.success(), "simcmp exited with {}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    let stderr = String::from_utf8_lossy(&out.stderr);
     // The whole of stdout must be one valid JSON document — no
     // diagnostics interleaved before, after, or inside it.
     let rep = parse(stdout.trim()).unwrap_or_else(|e| {
@@ -58,11 +55,21 @@ fn json_with_sched_stats_keeps_stdout_pure() {
     );
 }
 
+/// The intra-simulation parallel engine and its flags are gone; scripts
+/// that still pass them must fail loudly instead of silently running
+/// something else.
 #[test]
-fn parallel_engine_emits_identical_report_json() {
-    let (serial, _) = run(&["--cores", "8", "--json"], None);
-    let (flagged, _) = run(&["--cores", "8", "--json", "--workers", "4"], None);
-    let (envved, _) = run(&["--cores", "8", "--json"], Some("4"));
-    assert_eq!(serial, flagged, "--workers 4 changed the report");
-    assert_eq!(serial, envved, "SIMCMP_WORKERS=4 changed the report");
+fn removed_parallel_engine_flags_are_rejected() {
+    for (name, flags) in [
+        ("workers.s", &["--workers", "2"][..]),
+        ("per_cycle.s", &["--per-cycle-sync"][..]),
+    ] {
+        let out = simcmp(name, flags);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flags:?} was accepted");
+        assert!(
+            stderr.contains("unknown option"),
+            "{flags:?}: expected an unknown-option error, got:\n{stderr}"
+        );
+    }
 }

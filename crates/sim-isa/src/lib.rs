@@ -28,6 +28,7 @@
 //! multi-core) used as golden models by the cycle-accurate simulator's
 //! tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

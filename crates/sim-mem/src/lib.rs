@@ -38,18 +38,15 @@
 //! * Each L1 has one outstanding core miss (the cores are in-order and
 //!   blocking), plus any number of in-flight writebacks.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod cache;
-pub mod epoch;
 pub mod home;
 pub mod l1;
-pub mod lane;
 pub mod proto;
 pub mod system;
 
-pub use epoch::{EpochTile, EpochTiles, PHASE_CORE, PHASE_DELIVER, PHASE_HOME};
-pub use lane::{CoreMem, LaneMem, TileLanes};
 pub use proto::{CoreReq, CoreResp, ProtoMsg};
-pub use system::{MemSchedStats, MemorySystem};
+pub use system::{CoreMem, MemSchedStats, MemorySystem};

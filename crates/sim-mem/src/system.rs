@@ -1,10 +1,8 @@
 //! The assembled memory system: per-tile L1s and home banks glued by the
 //! NoC, plus the flat memory backend.
 
-use crate::epoch::{EpochTileBufs, EpochTiles};
 use crate::home::{DirState, HomeCtrl, HomeStats, Memory};
 use crate::l1::{L1Ctrl, L1Stats, OutMsg};
-use crate::lane::{CoreMem, TileLanes};
 use crate::proto::{CoreReq, CoreResp, ProtoMsg};
 use sim_base::active::ActiveSet;
 use sim_base::config::CmpConfig;
@@ -50,19 +48,12 @@ pub struct MemorySystem<S: TraceSink = NullSink> {
     homes: Vec<HomeCtrl<S>>,
     noc: Noc<ProtoMsg, S>,
     /// Backing memory, banked per home: `mems[i]` holds exactly the
-    /// lines homed at tile `i` (the per-shard home partition of the
-    /// parallel engine — a bank is only ever touched together with its
-    /// home controller, or via `poke_word`/`peek_word` which route by
-    /// home).
+    /// lines homed at tile `i` (a bank is only ever touched together
+    /// with its home controller, or via `poke_word`/`peek_word` which
+    /// route by home).
     mems: Vec<Memory>,
     now: Cycle,
     out_scratch: Vec<OutMsg>,
-    /// Per-tile deferred outboxes for the parallel compute phase: lane
-    /// `i` buffers its outbound protocol messages here;
-    /// [`flush_shard_outboxes`](Self::flush_shard_outboxes) injects
-    /// them in ascending tile order at the exchange barrier. Always
-    /// empty outside a parallel cycle.
-    pending: Vec<Vec<OutMsg>>,
     /// Home banks with a transaction in flight — the per-tick work
     /// list. Maintained on every state edge (message handled, bank
     /// ticked) in both scheduling modes, so it is always exact.
@@ -72,12 +63,6 @@ pub struct MemorySystem<S: TraceSink = NullSink> {
     /// Gate for the sparse tick path (`--no-active-set` escape hatch).
     active_set_enabled: bool,
     sched: MemSchedStats,
-    /// Per-tile inbox/outbox buffers for the epoch engine (`DESIGN.md`
-    /// §13). Empty between epochs.
-    epoch_bufs: Vec<EpochTileBufs>,
-    /// Merged, ordered remote sends awaiting injection during an epoch
-    /// apply phase, *reversed* so the next send is at the back.
-    inject_scratch: Vec<(Cycle, u8, CoreId, OutMsg)>,
 }
 
 impl MemorySystem {
@@ -106,13 +91,10 @@ impl<S: TraceSink> MemorySystem<S> {
             mems: (0..n).map(|_| Memory::default()).collect(),
             now: 0,
             out_scratch: Vec::new(),
-            pending: (0..n).map(|_| Vec::new()).collect(),
             busy_homes: ActiveSet::new(n),
             sched_scratch: Vec::new(),
             active_set_enabled: true,
             sched: MemSchedStats::default(),
-            epoch_bufs: (0..n).map(|_| EpochTileBufs::default()).collect(),
-            inject_scratch: Vec::new(),
         }
     }
 
@@ -378,220 +360,6 @@ impl<S: TraceSink> MemorySystem<S> {
         }
     }
 
-    // --- parallel-engine support (sharded-tick, DESIGN.md §11) ----------
-
-    /// Raw per-tile lane access for one parallel compute phase. See
-    /// [`TileLanes`] for the safety contract the caller must uphold.
-    pub fn tile_lanes(&mut self) -> TileLanes<S> {
-        TileLanes::new(
-            self.l1s.as_mut_ptr(),
-            self.pending.as_mut_ptr(),
-            self.l1s.len(),
-            self.now,
-        )
-    }
-
-    /// Injects every lane outbox into the NoC, in ascending tile order —
-    /// the order the serial core loop's immediate flushes produce, so
-    /// packet ids (and all downstream NoC state) match the serial
-    /// engine bit for bit. Called once per parallel cycle, at the
-    /// exchange barrier, before [`tick`](Self::tick).
-    pub fn flush_shard_outboxes(&mut self) {
-        for i in 0..self.pending.len() {
-            if self.pending[i].is_empty() {
-                continue;
-            }
-            let mut outbox = std::mem::take(&mut self.pending[i]);
-            let src = CoreId::from(i);
-            for OutMsg { dst, msg } in outbox.drain(..) {
-                self.noc.send(Message {
-                    src,
-                    dst,
-                    class: msg.class(),
-                    payload_bytes: msg.payload_bytes(),
-                    payload: msg,
-                });
-            }
-            self.pending[i] = outbox; // keep the allocation
-        }
-    }
-
-    /// Snapshots [`has_delivery_for`](Self::has_delivery_for) for every
-    /// tile into `flags` (reused across cycles). The parallel compute
-    /// phase reads these frozen flags instead of the live NoC — exact,
-    /// because deliveries only mutate in `noc.tick()` and messages sent
-    /// during the compute phase cannot mature until a later tick.
-    pub fn delivery_flags(&self, flags: &mut Vec<bool>) {
-        flags.clear();
-        if !self.noc.has_deliveries() {
-            // Common case on spin-heavy cycles: one memset, no per-tile
-            // queue probes.
-            flags.resize(self.l1s.len(), false);
-            return;
-        }
-        flags.extend((0..self.l1s.len()).map(|i| self.noc.has_delivery_for(CoreId::from(i))));
-    }
-
-    // --- epoch-engine support (DESIGN.md §13) ---------------------------
-
-    /// Raw per-tile whole-tile access for one epoch free-run. See
-    /// [`EpochTiles`] for the safety contract the caller must uphold.
-    pub fn epoch_tiles(&mut self) -> EpochTiles<S> {
-        EpochTiles::new(
-            self.l1s.as_mut_ptr(),
-            self.homes.as_mut_ptr(),
-            self.mems.as_mut_ptr(),
-            self.pending.as_mut_ptr(),
-            self.epoch_bufs.as_mut_ptr(),
-            self.l1s.len(),
-        )
-    }
-
-    /// Moves every already-delivered NoC message into its tile's epoch
-    /// inbox, stamped so it is handled on the upcoming cycle — exactly
-    /// when the serial tick's delivery scan would hand it over. Called
-    /// once at the top of each epoch, before the window is computed.
-    pub fn epoch_predrain(&mut self) {
-        if !self.noc.has_deliveries() {
-            return;
-        }
-        let stamp = self.now.saturating_sub(1);
-        // Only the tiles the NoC actually holds messages for — O(active),
-        // not O(cores). Per-tile drain order is unchanged, so the inbox
-        // contents are bit-identical to the dense scan.
-        let mut tiles = std::mem::take(&mut self.sched_scratch);
-        self.noc.collect_delivery_tiles(&mut tiles);
-        for &i in &tiles {
-            let i = i as usize;
-            let tile = CoreId::from(i);
-            while let Some(m) = self.noc.recv(tile) {
-                self.epoch_bufs[i].inbox.push_back((stamp, m));
-            }
-        }
-        self.sched_scratch = tiles;
-    }
-
-    /// True when tile `i` has tile-local memory work pending: a stamped
-    /// inbox message or a busy home bank. The epoch driver's window and
-    /// idle-shard logic consult this after
-    /// [`epoch_predrain`](Self::epoch_predrain).
-    pub fn epoch_tile_has_work(&self, i: usize) -> bool {
-        !self.epoch_bufs[i].inbox.is_empty() || self.homes[i].is_busy()
-    }
-
-    /// See [`sim_noc::Noc::earliest_delivery_maturation`]. Legal only
-    /// after [`epoch_predrain`](Self::epoch_predrain) (deliveries and
-    /// the local bypass must be drained).
-    pub fn earliest_delivery_maturation(&self) -> Option<Cycle> {
-        self.noc.earliest_delivery_maturation()
-    }
-
-    /// See [`sim_noc::Noc::min_remote_delivery_latency`].
-    pub fn min_remote_delivery_latency(&self) -> u64 {
-        self.noc.min_remote_delivery_latency()
-    }
-
-    /// Merges every tile's epoch outbox into the apply-phase injection
-    /// queue, ordered exactly as the serial engine's immediate flushes
-    /// would have sent them: ascending cycle, then send phase (core
-    /// requests, home-timer sends, delivery-handling sends), then tile.
-    /// Also credits the epoch's same-tile messages to the NoC's
-    /// `local_bypass` statistic. Called once per epoch, after the
-    /// free-run, before the first [`epoch_apply_tick`](Self::epoch_apply_tick).
-    pub fn epoch_collect_injections(&mut self) {
-        debug_assert!(self.inject_scratch.is_empty(), "stale epoch injections");
-        let mut locals = 0;
-        for (i, bufs) in self.epoch_bufs.iter_mut().enumerate() {
-            locals += std::mem::take(&mut bufs.locals);
-            let src = CoreId::from(i);
-            self.inject_scratch
-                .extend(bufs.outbox.drain(..).map(|(c, p, m)| (c, p, src, m)));
-        }
-        if locals > 0 {
-            self.noc.add_local_bypass(locals);
-        }
-        // Stable sort: ties (same cycle and phase) keep the ascending
-        // tile append order, and each tile's own sends keep program
-        // order. Reversed so apply ticks pop the next send off the back.
-        self.inject_scratch.sort_by_key(|&(c, p, _, _)| (c, p));
-        self.inject_scratch.reverse();
-    }
-
-    /// One serialized cycle of an epoch's apply phase: injects the
-    /// free-run's remote sends stamped for the current cycle (the NoC
-    /// clock agrees, so packet ids match serial), re-materializes
-    /// final-cycle inbox leftovers as NoC deliveries (`is_final` —
-    /// this restores the canonical serial state, where such messages
-    /// sit delivered and are handled next cycle), and ticks the NoC.
-    ///
-    /// The controllers themselves already ran in the free-run; this is
-    /// the `noc.tick(); now += 1` tail of the serial
-    /// [`tick`](Self::tick), plus the tick-count bookkeeping.
-    pub fn epoch_apply_tick(&mut self, is_final: bool) {
-        let now = self.now;
-        self.sched.ticks += 1;
-        while self
-            .inject_scratch
-            .last()
-            .is_some_and(|&(c, _, _, _)| c == now)
-        {
-            let (_, _, src, OutMsg { dst, msg }) =
-                self.inject_scratch.pop().expect("checked non-empty");
-            self.noc.send(Message {
-                src,
-                dst,
-                class: msg.class(),
-                payload_bytes: msg.payload_bytes(),
-                payload: msg,
-            });
-        }
-        debug_assert!(
-            self.inject_scratch
-                .last()
-                .is_none_or(|&(c, _, _, _)| c > now),
-            "injection stamped before its apply cycle"
-        );
-        if is_final {
-            debug_assert!(self.inject_scratch.is_empty(), "sends beyond the window");
-            for i in 0..self.epoch_bufs.len() {
-                while let Some((stamp, m)) = self.epoch_bufs[i].inbox.pop_front() {
-                    debug_assert_eq!(stamp, now, "inbox leftover not from the final cycle");
-                    self.noc.redeliver(CoreId::from(i), m);
-                }
-            }
-        }
-        self.noc.tick();
-        self.now += 1;
-        debug_assert!(
-            is_final || !self.noc.has_deliveries(),
-            "epoch window admitted a mid-window delivery"
-        );
-    }
-
-    /// Re-derives home busy-set membership after an epoch's free-run
-    /// mutated the banks outside the serial tick path. Membership is a
-    /// pure function of bank state, so the rebuild is order-independent.
-    ///
-    /// `active[i]` is the epoch's per-tile activity flag: a parked tile's
-    /// bank was untouched by the free-run (a busy bank forces its tile
-    /// active via [`epoch_tile_has_work`](Self::epoch_tile_has_work)), so
-    /// only active tiles need re-deriving.
-    pub fn epoch_sync_homes(&mut self, active: &[bool]) {
-        debug_assert_eq!(active.len(), self.homes.len(), "one flag per tile");
-        for (i, &a) in active.iter().enumerate() {
-            if a {
-                self.sync_home(i);
-            }
-        }
-    }
-
-    /// Folds the free-run's per-worker scheduler counters (which the
-    /// serial tick increments inline) into this system's stats.
-    pub fn add_epoch_sched_visits(&mut self, home_visits: u64, delivery_visits: u64) {
-        self.sched.home_visits += home_visits;
-        self.sched.delivery_visits += delivery_visits;
-    }
-
     /// True when no request, transaction or message is in flight.
     pub fn is_idle(&self) -> bool {
         self.noc.is_idle() && self.homes.iter().all(|h| h.is_idle())
@@ -655,9 +423,35 @@ impl<S: TraceSink> MemorySystem<S> {
     }
 }
 
-/// The serial engine drives cores straight against the whole memory
-/// system; every operation forwards to the inherent method of the same
-/// name (requests flush to the NoC immediately).
+/// What a core pipeline needs from the memory hierarchy: issuing
+/// requests, polling responses, and probing the spin-classification
+/// hooks — all on the calling core's own L1. Implemented by
+/// [`MemorySystem`] and by the trace recorder's request-capturing
+/// wrapper in `sim-cmp`.
+pub trait CoreMem {
+    /// Issues a data access for `core` (one outstanding each).
+    fn request(&mut self, core: CoreId, req: CoreReq);
+    /// Returns `core`'s completed response, if ready.
+    fn poll(&mut self, core: CoreId) -> Option<CoreResp>;
+    /// The ready cycle of `core`'s pending response, if any.
+    fn resp_ready_at(&self, core: CoreId) -> Option<Cycle>;
+    /// True when `core`'s L1 has protocol work in flight (outstanding
+    /// miss or a deferred coherence message).
+    fn l1_busy(&self, core: CoreId) -> bool;
+    /// `core`'s pending response if it is a load: `(ready, value)`.
+    fn peek_resp_load(&self, core: CoreId) -> Option<(Cycle, u64)>;
+    /// See [`L1Ctrl::spin_probe_load`].
+    fn spin_probe_load(&self, core: CoreId, addr: u64) -> Option<u64>;
+    /// See [`L1Ctrl::line_value`].
+    fn spin_line_value(&self, core: CoreId, addr: u64) -> Option<u64>;
+    /// See [`L1Ctrl::spin_replay`].
+    fn spin_replay(&mut self, core: CoreId, addr: u64, hits: u64, final_ready: Option<Cycle>);
+    /// See [`L1Ctrl::take_resp_for_replay`].
+    fn take_resp_for_replay(&mut self, core: CoreId) -> Option<CoreResp>;
+}
+
+/// Every operation forwards to the inherent method of the same name
+/// (requests flush to the NoC immediately).
 impl<S: TraceSink> CoreMem for MemorySystem<S> {
     fn request(&mut self, core: CoreId, req: CoreReq) {
         MemorySystem::request(self, core, req);

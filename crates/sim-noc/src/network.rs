@@ -314,78 +314,6 @@ impl<T, S: TraceSink> Noc<T, S> {
         self.delivery_tiles.insert(tile);
     }
 
-    /// Re-queues a message directly into `tile`'s delivered queue,
-    /// without transit, flits, or statistics. The epoch engine's
-    /// boundary canonicalization uses this for same-tile messages its
-    /// free-run produced on the final window cycle but did not consume:
-    /// serially they would sit in the bypass queue and deliver on the
-    /// next tick, so the epoch engine re-materializes them here (before
-    /// that tick runs) to leave the network in the bit-identical state.
-    pub fn redeliver(&mut self, tile: CoreId, msg: Message<T>) {
-        self.delivered[tile.index()].push_back(msg);
-        self.note_delivery(tile.index());
-    }
-
-    /// A lower bound on the cycle at which the next in-transit message
-    /// can *mature into a delivery* (become receivable by its tile), or
-    /// `None` when nothing is in transit. Callers must have drained the
-    /// bypass queue and all delivered queues first — this bound only
-    /// speaks for flits.
-    ///
-    /// The bound follows the pipeline: an ejecting flit delivers no
-    /// earlier than its scheduled arrival; a flit on a wire must still
-    /// cross the ejection pipeline (`router_latency`) after it lands;
-    /// and a flit buffered in a router or injection queue can win
-    /// arbitration next tick at the earliest, then eject. The epoch
-    /// engine turns this into a free-run window: ticks strictly before
-    /// the bound cannot hand any tile a new message.
-    pub fn earliest_delivery_maturation(&self) -> Option<Cycle> {
-        debug_assert!(
-            self.bypass.is_empty() && !self.has_deliveries(),
-            "maturation bound queried with undrained deliveries"
-        );
-        if self.active_flits == 0 {
-            return None;
-        }
-        let r = self.cfg.router_latency as u64;
-        // Both queues are FIFO in arrival order (each adds a constant
-        // latency to its push cycle), so the fronts are the minima.
-        let mut m = Cycle::MAX;
-        if let Some(e) = self.eject.front() {
-            m = m.min(e.arrive);
-        }
-        if let Some(w) = self.wire.front() {
-            m = m.min(w.arrive + r);
-        }
-        if self.wire.len() + self.eject.len() < self.active_flits {
-            // Something is buffered in a router or injection queue; it
-            // may win arbitration on the very next tick and then cross
-            // the ejection pipeline.
-            m = m.min(self.now + r);
-        }
-        Some(m.max(self.now))
-    }
-
-    /// Minimum number of cycles between a *remote* (`src != dst`)
-    /// [`send`](Self::send) at cycle `e` and the tick at whose end the
-    /// message can first mature into a delivery (`e +` this value):
-    /// injection arbitration plus the source router's pipeline, one
-    /// link, and the destination's ejection pipeline — a floor even for
-    /// mesh neighbours, so the destination tile handles it no earlier
-    /// than cycle `e + this + 1`. Same-tile sends bypass the network
-    /// entirely and are *not* covered.
-    pub fn min_remote_delivery_latency(&self) -> u64 {
-        (2 * self.cfg.router_latency + self.cfg.link_latency) as u64
-    }
-
-    /// Credits `n` local-bypass sends to the statistics without routing
-    /// anything. The epoch engine consumes same-tile messages through
-    /// per-tile inboxes that never touch the network; this keeps the
-    /// `local_bypass` counter identical to the serial engine's.
-    pub fn add_local_bypass(&mut self, n: u64) {
-        self.stats.local_bypass += n;
-    }
-
     /// The earliest cycle at which the network can change observable
     /// state, or `None` when it is completely empty.
     ///

@@ -23,6 +23,7 @@
 //! wrong-version files all come back as a structured [`TraceError`]
 //! (property-tested in `tests/prop.rs`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -85,88 +85,6 @@ pub fn build_imbalanced(n_cores: usize, kind: BarrierKind, iters: u64, stagger: 
     }
 }
 
-/// The compute-bearing variant: between barriers every core runs a
-/// private read-modify-write loop (`ld; addi; st; addi; bne` over its
-/// own cache line — `work` iterations, all L1 hits after the cold
-/// miss). Unlike [`build`]'s empty barrier loop, the cores here are
-/// *live* most of the time: the load/branch shape matches no spin
-/// pattern, so no core parks and no cycle skips, which makes this the
-/// workload where a parallel engine has actual per-cycle work to
-/// divide (the `parallel_engine` bench's contended shape). `stagger`
-/// adds `c * stagger` busy cycles before each barrier (0 = balanced).
-pub fn build_compute(
-    n_cores: usize,
-    kind: BarrierKind,
-    iters: u64,
-    work: u32,
-    stagger: u32,
-) -> Workload {
-    assert!(iters >= 1 && work >= 1);
-    let env = barrier_env(kind, n_cores);
-    let slot = |c: usize| 0x100000 + c as u64 * 64;
-    let progs = (0..n_cores)
-        .map(|c| {
-            let mut b = ProgBuilder::new();
-            let iter_reg = Reg(10);
-            b.li(iter_reg, iters as i64);
-            b.label("loop");
-            for k in 0..BARRIERS_PER_ITER {
-                b.li(Reg(5), work as i64).li(Reg(2), slot(c) as i64);
-                let inner = format!("c{k}");
-                b.label(&inner)
-                    .ld(Reg(3), 0, Reg(2))
-                    .addi(Reg(3), Reg(3), 1)
-                    .st(Reg(3), 0, Reg(2))
-                    .addi(Reg(5), Reg(5), -1)
-                    .bne(Reg(5), Reg::ZERO, &inner);
-                if stagger > 0 && c > 0 {
-                    b.busy(c as u32 * stagger);
-                }
-                env.emit(&mut b, c, &format!("k{k}"));
-            }
-            b.addi(iter_reg, iter_reg, -1);
-            b.bne(iter_reg, Reg::ZERO, "loop");
-            b.halt();
-            b.build()
-        })
-        .collect();
-    Workload {
-        name: "Synthetic-compute".into(),
-        progs,
-        pokes: Vec::new(),
-        barriers_per_core: iters * BARRIERS_PER_ITER,
-        kind,
-    }
-}
-
-/// The parallel-engine bench matrix: for every barrier implementation,
-/// the compute-bearing contended variant (balanced arrival, every core
-/// live — the regime where sharding the tick pays) and the
-/// compute-bearing imbalanced variant (staggered arrival — shard load
-/// imbalance plus wait time). Labels follow [`barrier_matrix`]'s
-/// convention and are stable and unique within this matrix.
-pub fn compute_matrix(
-    n_cores: usize,
-    iters: u64,
-    work: u32,
-    stagger: u32,
-) -> Vec<(&'static str, Workload)> {
-    let mut out = Vec::new();
-    for kind in BarrierKind::ALL {
-        let (contended, imbalanced) = match kind {
-            BarrierKind::Gl => ("contended GL", "imbalanced GL"),
-            BarrierKind::Csw => ("contended CSW", "imbalanced CSW"),
-            BarrierKind::Dsw => ("contended DSW", "imbalanced DSW"),
-        };
-        out.push((contended, build_compute(n_cores, kind, iters, work, 0)));
-        out.push((
-            imbalanced,
-            build_compute(n_cores, kind, iters, work, stagger),
-        ));
-    }
-    out
-}
-
 /// The scheduler-bench matrix: for every barrier implementation
 /// (GL, CSW, DSW), the contended variant (back-to-back barriers, all
 /// cores arriving together — the coherence-bound regime) and the
@@ -220,26 +138,6 @@ mod tests {
         for (_, w) in &m {
             assert_eq!(w.progs.len(), 4);
         }
-    }
-
-    #[test]
-    fn compute_variant_counts_and_stays_live() {
-        let (n, iters, work) = (4, 3u64, 25u32);
-        let w = build_compute(n, BarrierKind::Gl, iters, work, 0);
-        let mut sys = w.into_system(CmpConfig::icpp2010_with_cores(n));
-        sys.run(10_000_000).expect("run completes");
-        for c in 0..n {
-            assert_eq!(
-                sys.peek_word(0x100000 + c as u64 * 64),
-                iters * BARRIERS_PER_ITER * work as u64,
-                "core {c}'s private counter"
-            );
-        }
-        // The point of the variant: cores execute instead of parking,
-        // so the mean active-core occupancy is a large fraction of n.
-        let occ = sys.core_sched_stats().mean_active_cores();
-        assert!(occ > n as f64 * 0.5, "cores mostly live, got {occ:.2}");
-        assert_eq!(compute_matrix(4, 2, 10, 100).len(), 6);
     }
 
     #[test]

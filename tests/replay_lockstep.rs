@@ -1,19 +1,15 @@
 //! Lockstep cross-engine validation: the replay engine's bit-identity
 //! contract (DESIGN.md §12), driven across the full workload-family ×
-//! scheduler-toggle × worker-count matrix.
+//! scheduler-toggle matrix.
 //!
 //! Each workload is run once in exec mode (the reference), recorded via
 //! [`run_recorded`], and then replayed under every combination of
-//! quiescence skipping (on/off), active-set scheduling (on/off), and
-//! 1/2/4/8 shard workers. Every replay must reproduce the reference
-//! [`SystemReport`] **and** the final architectural memory exactly; on
-//! mismatch, [`bench::validate`] reports the first divergence as a
-//! structured `(cycle, core, field)` triple.
-//!
-//! Event-trace lockstep runs serially: the parallel engine is compile-
-//! time gated on a disabled trace sink (`!S::ENABLED`), so the traced
-//! comparison pins exec vs replay on the serial engine while the
-//! worker sweep holds the parallel engines to report + memory identity.
+//! quiescence skipping (on/off) and active-set scheduling (on/off).
+//! Every replay must reproduce the reference [`SystemReport`] **and**
+//! the final architectural memory exactly; on mismatch,
+//! [`bench::validate`] reports the first divergence as a structured
+//! `(cycle, core, field)` triple. A traced exec run and a traced replay
+//! must also emit identical event streams.
 //!
 //! [`run_recorded`]: gline_cmp::cmp::System::run_recorded
 
@@ -29,8 +25,7 @@ const CORES: usize = 8;
 const MAX_CYCLES: u64 = 10_000_000;
 
 /// The synthetic barrier matrix: every barrier family (GL, CSW, DSW) in
-/// both contention shapes, small enough to sweep 16 engine configs per
-/// entry.
+/// both contention shapes.
 fn matrix() -> Vec<(&'static str, Workload)> {
     synthetic::barrier_matrix(CORES, 2, 37)
 }
@@ -73,7 +68,7 @@ fn record(w: &Workload) -> (TraceSet, SystemReport) {
 }
 
 #[test]
-fn replay_is_bit_identical_across_toggles_and_workers() {
+fn replay_is_bit_identical_across_toggles() {
     for (name, w) in &matrix() {
         let (exec_report, exec_sys) = exec_reference(w);
         let (set, rec_report) = record(w);
@@ -82,18 +77,16 @@ fn replay_is_bit_identical_across_toggles_and_workers() {
 
         for skip in [true, false] {
             for active in [true, false] {
-                for workers in [1usize, 2, 4, 8] {
-                    let label = format!("{name} skip={skip} active_set={active} workers={workers}");
-                    let mut sys = System::replay(cfg(), &set);
-                    sys.set_skip_enabled(skip);
-                    sys.set_active_set_enabled(active);
-                    sys.run_with_workers(MAX_CYCLES, workers)
-                        .unwrap_or_else(|e| panic!("{label}: {e}"));
-                    compare_reports(&exec_report, &sys.report())
-                        .unwrap_or_else(|d| panic!("{label}: {d}"));
-                    compare_memory(&exec_sys, &sys, addrs(w))
-                        .unwrap_or_else(|d| panic!("{label}: {d}"));
-                }
+                let label = format!("{name} skip={skip} active_set={active}");
+                let mut sys = System::replay(cfg(), &set);
+                sys.set_skip_enabled(skip);
+                sys.set_active_set_enabled(active);
+                sys.run(MAX_CYCLES)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                compare_reports(&exec_report, &sys.report())
+                    .unwrap_or_else(|d| panic!("{label}: {d}"));
+                compare_memory(&exec_sys, &sys, addrs(w))
+                    .unwrap_or_else(|d| panic!("{label}: {d}"));
             }
         }
     }
